@@ -28,8 +28,7 @@ Fabric::Connection::Connection(const sim::FabricParams& p, int host_idx,
       nqn(std::move(name)),
       disk(d),
       open(true),
-      next_backoff_s(p.reconnect_backoff_s),
-      admin(0, std::max(1, p.qpair_depth)) {
+      next_backoff_s(p.reconnect_backoff_s) {
   const int n = std::max(1, p.io_qpairs);
   const int depth = std::max(1, p.qpair_depth);
   io_qpairs.reserve(static_cast<std::size_t>(n));
@@ -49,6 +48,7 @@ Fabric::~Fabric() {
 int Fabric::add_host(std::string name) {
   host_names_.push_back(std::move(name));
   links_.emplace_back();
+  host_connections_.emplace_back();
   return static_cast<int>(links_.size()) - 1;
 }
 
@@ -60,6 +60,7 @@ ConnectionId Fabric::connect(int initiator_host, const Nqn& nqn,
   ECF_CHECK(disk != nullptr) << " fabric connect needs a backing disk";
   connections_.emplace_back(transport_.params(), initiator_host, nqn, disk);
   const ConnectionId id = static_cast<ConnectionId>(connections_.size()) - 1;
+  host_connections_[static_cast<std::size_t>(initiator_host)].push_back(id);
   (void)now;
   return id;
 }
@@ -186,11 +187,10 @@ void Fabric::set_link_down(int host, double down_for_s) {
   // Arm the keep-alive check on every connection using this link: if the
   // window outlives the keep-alive interval the connection times out and
   // enters the reconnect machine.
-  for (ConnectionId id = 0;
-       id < static_cast<ConnectionId>(connections_.size()); ++id) {
+  for (const ConnectionId id :
+       host_connections_[static_cast<std::size_t>(host)]) {
     const Connection& c = connections_[static_cast<std::size_t>(id)];
-    if (c.host == host && c.open && c.state == ConnState::kConnected &&
-        !c.ka_armed) {
+    if (c.open && c.state == ConnState::kConnected && !c.ka_armed) {
       arm_keepalive(id);
     }
   }
@@ -296,8 +296,10 @@ FabricLoadView Fabric::load_view(int host, sim::SimTime now) const {
   v.tx_backlog_s = std::max(0.0, l.tx.busy_until() - now);
   v.rx_backlog_s = std::max(0.0, l.rx.busy_until() - now);
   v.bytes_carried = l.bytes_tx + l.bytes_rx;
-  for (const Connection& c : connections_) {
-    if (c.host != host || !c.open) continue;
+  for (const ConnectionId id :
+       host_connections_[static_cast<std::size_t>(host)]) {
+    const Connection& c = connections_[static_cast<std::size_t>(id)];
+    if (!c.open) continue;
     for (const QueuePair& qp : c.io_qpairs) v.in_flight += qp.in_flight(now);
   }
   return v;

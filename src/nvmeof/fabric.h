@@ -4,9 +4,8 @@
 // One Fabric instance models the whole experiment's storage network. Each
 // host registers a Link (its fabric port, see transport.h); each
 // provisioned namespace gets a Connection from its initiator host to the
-// target, carrying one admin queue pair plus N I/O queue pairs. All block
-// I/O the cluster issues flows through Connection::read/write, which
-// charge, in order: qpair backpressure, the request capsule over the
+// target, carrying N I/O queue pairs. All block I/O the cluster issues
+// flows through Connection::read/write, which charge, in order: qpair backpressure, the request capsule over the
 // shared link, the backing sim::Disk (starting at capsule arrival), and
 // the response transfer — returning both the completion time and how much
 // of it was transport (not disk), so experiment logs can attribute
@@ -61,7 +60,7 @@ struct FabricLoadView {
 struct ConnectionStats {
   std::uint64_t commands = 0;
   std::uint64_t retries = 0;          // retransmitted commands (loss, down)
-  std::uint64_t keepalives = 0;       // admin-queue keep-alives sent
+  std::uint64_t keepalives = 0;       // keep-alive commands sent
   std::uint64_t reconnect_attempts = 0;
   std::uint64_t reconnects = 0;       // successful re-establishments
   std::uint64_t bytes_read = 0;       // payload bytes moved target->host
@@ -99,7 +98,7 @@ class Fabric {
   int num_hosts() const { return static_cast<int>(links_.size()); }
 
   // Establish initiator_host -> target path for `nqn`, backed by `disk`.
-  // Queue pairs (admin + io_qpairs) are created per FabricParams.
+  // Its FabricParams::io_qpairs I/O queue pairs are created here.
   ConnectionId connect(int initiator_host, const Nqn& nqn, sim::Disk* disk,
                        sim::SimTime now);
   // Tear the path down (subsystem removed / device failed). In-flight
@@ -161,7 +160,6 @@ class Fabric {
     sim::SimTime timed_out_at = 0;  // when keep-alive declared the loss
     double next_backoff_s = 0;
     std::vector<QueuePair> io_qpairs;
-    QueuePair admin;
     ConnectionStats stats;
 
     Connection(const sim::FabricParams& p, int host_idx, Nqn name,
@@ -181,6 +179,8 @@ class Fabric {
   std::vector<std::string> host_names_;
   std::vector<Link> links_;
   std::vector<Connection> connections_;
+  // Connection ids per host, ascending (filled at connect).
+  std::vector<std::vector<ConnectionId>> host_connections_;
   EventFn on_event_;
   FailedFn on_failed_;
 };

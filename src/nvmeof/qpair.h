@@ -1,17 +1,23 @@
 // NVMe-oF queue pairs: bounded submission queues with in-flight accounting.
 //
-// A connection carries one admin queue pair plus N I/O queue pairs. Each
-// qpair admits at most `depth` outstanding commands; a command submitted
-// while all slots are busy waits for the earliest completion (the host
-// blocks on a free SQ entry — the fabric-level backpressure the paper's
-// transport-queueing observations hinge on). The model is a deterministic
-// k-server queue evaluated synchronously: submit() returns the time the
-// command may start, commit() records when its slot frees.
+// A connection carries N I/O queue pairs. Each qpair admits at most `depth`
+// outstanding commands; a command submitted while all slots are busy waits
+// for the earliest completion (the host blocks on a free SQ entry — the
+// fabric-level backpressure the paper's transport-queueing observations
+// hinge on). The model is a deterministic k-server queue evaluated
+// synchronously: submit() returns the time the command may start, commit()
+// records when its slot frees.
 //
 // Depth histograms are always recorded (they are pure accounting); whether
 // the bound actually delays commands is the caller's choice
 // (sim::FabricParams::enforce_qpair_depth), so the default ideal fabric
 // stays timing-inert.
+//
+// Bookkeeping: the slots live in a ring kept sorted by (free time, slot
+// index), so the slot submit() picks — the earliest-freeing one, lowest
+// index on ties — is the ring head, in_flight() is a binary search, and
+// commit() re-inserts the head walking back from the tail (no steps when
+// completions arrive in submission order).
 #pragma once
 
 #include <cstdint>
@@ -23,7 +29,7 @@ namespace ecf::nvmeof {
 
 class QueuePair {
  public:
-  // `depth` must be >= 1. `id` is the queue id (0 = admin by convention).
+  // `depth` must be in [1, 65536]. `id` is the queue id.
   QueuePair(int id, int depth);
 
   struct Slot {
@@ -37,7 +43,10 @@ class QueuePair {
   // start == now and the bound is accounting-only.
   Slot submit(sim::SimTime now, bool enforce);
 
-  // Record the command's completion time into its slot.
+  // Record the command's completion time into its slot: the slot frees at
+  // max(its previous free time, complete). The slot must be the one the
+  // next submit() would pick — true for the slot of the last submit() as
+  // long as no commit() came in between; anything else throws.
   void commit(const Slot& slot, sim::SimTime complete);
 
   int id() const { return id_; }
@@ -45,12 +54,10 @@ class QueuePair {
   std::uint64_t submitted() const { return submitted_; }
   // Seconds commands spent waiting for a free slot (backpressure wait).
   double queued_seconds() const { return queued_seconds_; }
-  // Earliest instant a new command could start (min over slot-free times).
-  sim::SimTime earliest_free(sim::SimTime now) const;
-  // Outstanding commands at `now`.
+  // Outstanding commands at `now`: slots whose free time is after `now`.
   int in_flight(sim::SimTime now) const;
-  // histogram[d] = submissions that found d commands outstanding
-  // (d saturates at the last bucket).
+  // histogram[d] = submissions that found d commands outstanding,
+  // d in [0, depth].
   const std::vector<std::uint64_t>& depth_histogram() const {
     return depth_hist_;
   }
@@ -58,7 +65,11 @@ class QueuePair {
  private:
   int id_;
   int depth_;
-  std::vector<sim::SimTime> slot_free_;  // completion time per slot
+  // Ring sorted by (free_[i], slot_[i]), starting at head_: free time and
+  // slot index of each entry, in parallel arrays to keep 10 bytes a slot.
+  std::size_t head_ = 0;
+  std::vector<sim::SimTime> free_;
+  std::vector<std::uint16_t> slot_;
   std::vector<std::uint64_t> depth_hist_;
   std::uint64_t submitted_ = 0;
   double queued_seconds_ = 0;

@@ -256,6 +256,28 @@ TEST_F(FabricTest, DepthHistogramRecordsWithoutEnforcement) {
   EXPECT_GE(fab.connection_in_flight(id), 0);
 }
 
+TEST_F(FabricTest, LoadViewSumsOpenConnectionsOfItsHostOnly) {
+  Fabric fab(&eng_, sim::FabricParams{}, 1);
+  const int h0 = fab.add_host("host0");
+  const int h1 = fab.add_host("host1");
+  const ConnectionId a = fab.connect(h0, "nqn.test:a", &disk_, 0.0);
+  const ConnectionId b = fab.connect(h1, "nqn.test:b", &disk_, 0.0);
+  const ConnectionId c = fab.connect(h0, "nqn.test:c", &disk_, 0.0);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fab.write(a, 1u << 20, 1, 0.0));
+    ASSERT_TRUE(fab.write(c, 1u << 20, 1, 0.0));
+  }
+  ASSERT_TRUE(fab.write(b, 1u << 20, 1, 0.0));
+  ASSERT_EQ(fab.connection_in_flight(a), 3);
+  ASSERT_EQ(fab.connection_in_flight(b), 1);
+  ASSERT_EQ(fab.connection_in_flight(c), 3);
+  EXPECT_EQ(fab.load_view(h0, 0.0).in_flight, 6);
+  EXPECT_EQ(fab.load_view(h1, 0.0).in_flight, 1);
+  fab.disconnect(c, 0.0);
+  EXPECT_EQ(fab.load_view(h0, 0.0).in_flight, 3);
+  EXPECT_EQ(fab.load_view(h1, 0.0).in_flight, 1);
+}
+
 TEST(FabricTelemetryTest, FlushesOnceOnDestruction) {
   fabric_telemetry().reset();
   {
